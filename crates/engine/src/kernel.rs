@@ -313,11 +313,10 @@ fn predecode(insts: &[VInst], elem_size: i64, elem: ScalarType, out: &mut Vec<PI
 
 /// `value` replicated into every `elem`-sized lane of a register.
 fn splat_bytes(elem: ScalarType, value: i64) -> Reg {
-    let bytes = Value::from_i64(elem, value).to_le_bytes();
-    let d = elem.size();
+    let lane = Value::from_i64(elem, value);
     let mut out = [0u8; 16];
-    for lane in 0..16 / d {
-        out[lane * d..lane * d + d].copy_from_slice(&bytes);
+    for o in out.chunks_exact_mut(elem.size()) {
+        lane.write_le_bytes(o);
     }
     out
 }

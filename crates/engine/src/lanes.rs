@@ -1,11 +1,11 @@
 //! Width-specialized lane arithmetic on fixed 16-byte registers.
 //!
 //! The interpreter in `simdize-vm` decodes every lane through
-//! [`simdize_ir::Value`], which allocates a `Vec<u8>` per lane result.
-//! The engine instead dispatches once per instruction on
-//! `(element width, signedness)` and runs a monomorphic loop over the
-//! register bytes — no allocation, no per-lane branching. Two structural
-//! choices keep the loops wide:
+//! [`simdize_ir::Value`], branching on the element type per lane and
+//! allocating a `Vec<u8>` per result register. The engine instead
+//! dispatches once per instruction on `(element width, signedness)` and
+//! runs a monomorphic loop over the register bytes — no allocation, no
+//! per-lane branching. Two structural choices keep the loops wide:
 //!
 //! * the operator `match` is resolved *once per register*, outside the
 //!   lane loop: each arm hands a lane closure to a `map` helper whose
@@ -161,7 +161,7 @@ mod tests {
         for lane in 0..16 / d {
             let x = Value::from_le_bytes(ty, &a[lane * d..]);
             let y = Value::from_le_bytes(ty, &b[lane * d..]);
-            out[lane * d..lane * d + d].copy_from_slice(&op.apply(x, y).to_le_bytes());
+            op.apply(x, y).write_le_bytes(&mut out[lane * d..]);
         }
         out
     }
@@ -171,7 +171,7 @@ mod tests {
         let mut out = [0u8; 16];
         for lane in 0..16 / d {
             let x = Value::from_le_bytes(ty, &a[lane * d..]);
-            out[lane * d..lane * d + d].copy_from_slice(&op.apply(x).to_le_bytes());
+            op.apply(x).write_le_bytes(&mut out[lane * d..]);
         }
         out
     }

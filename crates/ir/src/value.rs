@@ -60,9 +60,15 @@ impl Value {
         }
     }
 
-    /// Little-endian byte representation, `ty.size()` bytes long.
-    pub fn to_le_bytes(self) -> Vec<u8> {
-        self.bits.to_le_bytes()[..self.ty.size()].to_vec()
+    /// Writes the value's `ty.size()` little-endian bytes to the front
+    /// of `dst` (the inverse of [`Value::from_le_bytes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is shorter than `ty.size()`.
+    pub fn write_le_bytes(self, dst: &mut [u8]) {
+        let d = self.ty.size();
+        dst[..d].copy_from_slice(&self.bits.to_le_bytes()[..d]);
     }
 
     /// Reads a value of type `ty` from the first `ty.size()` bytes of a
@@ -202,8 +208,10 @@ mod tests {
     fn byte_roundtrip_all_types() {
         for ty in ScalarType::ALL {
             let v = Value::from_i64(ty, -123456789);
-            let bytes = v.to_le_bytes();
-            assert_eq!(bytes.len(), ty.size());
+            // Bytes past `ty.size()` are left alone.
+            let mut bytes = [0xAAu8; 9];
+            v.write_le_bytes(&mut bytes);
+            assert!(bytes[ty.size()..].iter().all(|&b| b == 0xAA), "{ty}");
             assert_eq!(Value::from_le_bytes(ty, &bytes), v, "{ty}");
         }
     }

@@ -15,12 +15,6 @@ use simdize_ir::{
 use simdize_reorg::Policy;
 use simdize_vm::MemoryImage;
 
-/// The fill perturbation [`MemoryImage::with_seed`] applies before
-/// calling `fill_random`, duplicated here so runtime-alignment probes
-/// fill identically to the seeded images the `simdize run --seed`
-/// replay path builds. A unit test asserts the two stay in sync.
-pub(crate) const FILL_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Fixed parameter values supplied to loops that declare `params`.
 /// Structured like the value probes: small, signed, and unequal, so a
 /// parameter routed to the wrong lane changes bytes.
@@ -407,7 +401,7 @@ impl Probe {
         let mut img = MemoryImage::with_offsets(src, shape, aligns);
         let elem = src.elem();
         match *self {
-            Probe::Seeded(s) => img.fill_random(s ^ FILL_SALT),
+            Probe::Seeded(s) => img.fill_seeded(s),
             Probe::LaneRamp => {
                 for (ai, a) in src.arrays().iter().enumerate() {
                     for idx in 0..a.len() {
@@ -481,7 +475,7 @@ mod tests {
     fn seeded_probe_matches_with_seed_images() {
         // The prover promises its `seeded:<s>` probe equals the image
         // `simdize run --seed <s>` builds for an all-known loop; this
-        // pins the FILL_SALT duplicate against MemoryImage::with_seed.
+        // pins `MemoryImage::fill_seeded` against `MemoryImage::with_seed`.
         let p = parse_program(SRC).unwrap();
         let shape = VectorShape::V16;
         let probe = Probe::Seeded(42).build_image(&p, shape, &[0, 4, 8]);

@@ -300,11 +300,11 @@ impl Machine<'_> {
                 let d = self.elem_size as usize;
                 let av = self.read(*a)?.clone();
                 let bv = self.read(*b)?;
-                let mut out = Vec::with_capacity(self.v);
-                for lane in 0..self.v / d {
+                let mut out = vec![0; self.v];
+                for (lane, o) in out.chunks_exact_mut(d).enumerate() {
                     let x = Value::from_le_bytes(elem, &av[lane * d..]);
                     let y = Value::from_le_bytes(elem, &bv[lane * d..]);
-                    out.extend_from_slice(&op.apply(x, y).to_le_bytes());
+                    op.apply(x, y).write_le_bytes(o);
                 }
                 self.regs[dst.index()] = Some(out);
                 stats.ops += 1;
@@ -313,10 +313,10 @@ impl Machine<'_> {
                 let elem = self.image.elem();
                 let d = self.elem_size as usize;
                 let av = self.read(*a)?.clone();
-                let mut out = Vec::with_capacity(self.v);
-                for lane in 0..self.v / d {
+                let mut out = vec![0; self.v];
+                for (lane, o) in out.chunks_exact_mut(d).enumerate() {
                     let x = Value::from_le_bytes(elem, &av[lane * d..]);
-                    out.extend_from_slice(&op.apply(x).to_le_bytes());
+                    op.apply(x).write_le_bytes(o);
                 }
                 self.regs[dst.index()] = Some(out);
                 stats.ops += 1;
@@ -342,10 +342,10 @@ impl Machine<'_> {
     fn splat(&self, value: i64) -> Vec<u8> {
         let elem = self.image.elem();
         let d = self.elem_size as usize;
-        let bytes = Value::from_i64(elem, value).to_le_bytes();
-        let mut out = Vec::with_capacity(self.v);
-        for _ in 0..self.v / d {
-            out.extend_from_slice(&bytes);
+        let lane = Value::from_i64(elem, value);
+        let mut out = vec![0; self.v];
+        for o in out.chunks_exact_mut(d) {
+            lane.write_le_bytes(o);
         }
         out
     }

@@ -35,7 +35,7 @@ impl MemoryImage {
     pub fn with_seed(program: &LoopProgram, shape: VectorShape, seed: u64) -> MemoryImage {
         let offsets = seeded_offsets(program, shape, seed);
         let mut image = MemoryImage::with_offsets(program, shape, &offsets);
-        image.fill_random(seed ^ 0x9E37_79B9_7F4A_7C15);
+        image.fill_seeded(seed);
         image
     }
 
@@ -52,7 +52,7 @@ impl MemoryImage {
         self.shape = shape;
         self.bytes.clear();
         self.bytes.resize(total, 0);
-        self.fill_random(seed ^ 0x9E37_79B9_7F4A_7C15);
+        self.fill_seeded(seed);
     }
 
     /// Makes this image an exact copy of `src`, reusing the existing
@@ -89,16 +89,30 @@ impl MemoryImage {
         }
     }
 
+    /// Fills every array element exactly as [`MemoryImage::with_seed`]
+    /// does for `seed`, keeping the current placement. The verifier's
+    /// `seeded:<s>` probes fill through this, so they replay as
+    /// `simdize run --seed <s>` images.
+    pub fn fill_seeded(&mut self, seed: u64) {
+        self.fill_random(seed ^ FILL_SALT);
+    }
+
     /// Fills every array element with pseudo-random values (guard bytes
     /// stay untouched, so differential comparisons cover them too).
+    ///
+    /// Element `k` of the fill takes the low `D` bytes of the `k`-th
+    /// SplitMix64 draw, arrays in declaration order.
     pub fn fill_random(&mut self, seed: u64) {
         let mut rng = SplitMix64::seed_from_u64(seed | 1);
         let d = self.elem.size();
-        for a in 0..self.bases.len() {
-            for idx in 0..self.lens[a] {
-                let v = Value::from_i64(self.elem, rng.next_u64() as i64);
-                let at = (self.bases[a] + idx * d as u64) as usize;
-                self.bytes[at..at + d].copy_from_slice(&v.to_le_bytes());
+        for (&base, &len) in self.bases.iter().zip(&self.lens) {
+            let at = base as usize;
+            let arr = &mut self.bytes[at..at + len as usize * d];
+            match d {
+                1 => fill_lanes::<1>(arr, &mut rng),
+                2 => fill_lanes::<2>(arr, &mut rng),
+                4 => fill_lanes::<4>(arr, &mut rng),
+                _ => fill_lanes::<8>(arr, &mut rng),
             }
         }
     }
@@ -110,6 +124,11 @@ impl MemoryImage {
     /// Panics if `array` does not belong to the image's program.
     pub fn base_of(&self, array: ArrayId) -> u64 {
         self.bases[array.index()]
+    }
+
+    /// The element count of `array`.
+    pub(crate) fn len_of(&self, array: ArrayId) -> u64 {
+        self.lens[array.index()]
     }
 
     /// The vector shape the image was laid out for.
@@ -145,7 +164,7 @@ impl MemoryImage {
         self.check_elem(array, idx)?;
         let d = self.elem.size();
         let at = (self.bases[array.index()] + idx * d as u64) as usize;
-        self.bytes[at..at + d].copy_from_slice(&value.to_le_bytes());
+        value.write_le_bytes(&mut self.bytes[at..at + d]);
         Ok(())
     }
 
@@ -267,19 +286,39 @@ impl MemoryImage {
         ((base - guard).max(0), base + len + guard)
     }
 
-    /// First byte position at which two images differ, if any.
+    /// First byte position at which two images differ, if any. Images
+    /// of unequal length that agree on the shorter one differ at the
+    /// shorter length.
     pub fn first_difference(&self, other: &MemoryImage) -> Option<usize> {
-        self.bytes
-            .iter()
-            .zip(other.bytes.iter())
-            .position(|(a, b)| a != b)
-            .or_else(|| {
-                if self.bytes.len() != other.bytes.len() {
-                    Some(self.bytes.len().min(other.bytes.len()))
-                } else {
-                    None
-                }
-            })
+        // Equal images are the common case: one `memcmp`, and the
+        // byte-wise search only runs to locate a mismatch.
+        if self.bytes == other.bytes {
+            return None;
+        }
+        let shorter = self.bytes.len().min(other.bytes.len());
+        Some(
+            self.bytes
+                .iter()
+                .zip(&other.bytes)
+                .position(|(a, b)| a != b)
+                .unwrap_or(shorter),
+        )
+    }
+}
+
+/// The perturbation [`MemoryImage::fill_seeded`] applies to a seed
+/// before [`MemoryImage::fill_random`], so contents and the runtime
+/// misalignments (drawn from the unsalted seed) are independent streams.
+const FILL_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Writes the low `N` bytes of one SplitMix64 draw into each `N`-byte
+/// element of `arr` — the same bytes a [`Value`] of an `N`-byte type
+/// built from the draw serializes to.
+fn fill_lanes<const N: usize>(arr: &mut [u8], rng: &mut SplitMix64) {
+    let (elems, _) = arr.as_chunks_mut::<N>();
+    for e in elems {
+        let draw = rng.next_u64().to_le_bytes();
+        e.copy_from_slice(&draw[..N]);
     }
 }
 
@@ -417,6 +456,42 @@ mod tests {
     }
 
     #[test]
+    fn first_difference_reports_the_exact_byte() {
+        // The prover prints this offset in counterexamples, so the
+        // equal-slice fast path must not blur the position.
+        let p = program();
+        let img = MemoryImage::with_seed(&p, VectorShape::V16, 3);
+        let len = img.bytes().len();
+        let a = ArrayId::from_index(0);
+        let guard = img.base_of(a) as usize - 1; // padding below `a`
+        let last_elem = img.base_of(ArrayId::from_index(2)) as usize + 63 * 4;
+        for at in [0, guard, last_elem, len - 1] {
+            let mut other = img.clone();
+            other.bytes_mut()[at] ^= 0x40;
+            assert_eq!(img.first_difference(&other), Some(at), "byte {at}");
+            assert_eq!(other.first_difference(&img), Some(at), "byte {at}");
+            // A later mismatch does not hide the earlier one.
+            other.bytes_mut()[len - 1] ^= 0x01;
+            assert_eq!(img.first_difference(&other), Some(at), "byte {at}");
+        }
+    }
+
+    #[test]
+    fn first_difference_of_unequal_lengths_is_the_shorter_length() {
+        let short = parse_program("arrays { a: i32[8] @ 0; } for i in 0..4 { a[i] = 1; }").unwrap();
+        let long = parse_program("arrays { a: i32[12] @ 0; } for i in 0..4 { a[i] = 1; }").unwrap();
+        let s = MemoryImage::with_offsets(&short, VectorShape::V16, &[0]);
+        let mut l = MemoryImage::with_offsets(&long, VectorShape::V16, &[0]);
+        assert!(s.bytes().len() < l.bytes().len());
+        let n = s.bytes().len();
+        assert_eq!(s.first_difference(&l), Some(n));
+        assert_eq!(l.first_difference(&s), Some(n));
+        // A mismatch inside the common prefix still wins.
+        l.bytes_mut()[5] = 9;
+        assert_eq!(s.first_difference(&l), Some(5));
+    }
+
+    #[test]
     fn fill_random_is_deterministic() {
         let p = program();
         let mut a = MemoryImage::with_offsets(&p, VectorShape::V16, &[0, 0, 8]);
@@ -447,6 +522,55 @@ mod tests {
         let mut dst = MemoryImage::with_seed(&p, VectorShape::V16, 2);
         dst.copy_from(&src);
         assert_eq!(dst, src);
+    }
+
+    /// FNV-1a over `bytes`, as the engine's kernel-cache keys hash.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn seeded_bytes_are_pinned() {
+        // `simdize run --seed` replay lines, verify's `seeded:<s>` probes
+        // and the trace/telemetry goldens all depend on this exact byte
+        // stream: one loop per element width, declared and runtime
+        // alignments, odd array lengths so every fill ends mid-vector.
+        let loops = [
+            "arrays { a: i8[61] @ 3; b: i8[77] @ ?; c: i8[40] @ ?; }
+             for i in 0..ub { a[i] = b[i+1] + c[i]; }",
+            "arrays { a: i16[45] @ 6; b: i16[33] @ ?; c: i16[50] @ 2; }
+             for i in 0..ub { a[i] = b[i] - c[i+2]; }",
+            "arrays { a: i32[29] @ 12; b: i32[31] @ ?; c: i32[64] @ ?; }
+             for i in 0..ub { a[i] = b[i] * c[i]; }",
+            "arrays { a: i64[19] @ 8; b: i64[23] @ ?; }
+             for i in 0..ub { a[i] = b[i+3]; }",
+        ];
+        let mut got = Vec::new();
+        for src in loops {
+            let p = parse_program(src).unwrap();
+            for seed in [0u64, 7, 0xDEAD_BEEF] {
+                let img = MemoryImage::with_seed(&p, VectorShape::V16, seed);
+                got.push(fnv1a(img.bytes()));
+            }
+        }
+        // Captured from the original element-by-element `Value` fill.
+        let want: [u64; 12] = [
+            0xf82b_4491_e2c0_110e,
+            0xe7fc_da3b_ac5c_f83b,
+            0xb7bb_1dfa_2cb2_747e,
+            0xa712_df39_b74a_7ea5,
+            0xf9df_63bf_d4f5_675e,
+            0x4f3c_f82d_40c3_03c0,
+            0xb1b0_1836_5434_f7df,
+            0x33b3_4b20_cdd1_e3f7,
+            0xc4c7_5fe7_d63a_995d,
+            0x94ed_fbf8_da71_e47c,
+            0x82a6_8163_c085_df32,
+            0x035e_0369_0d12_90c5,
+        ];
+        assert_eq!(got, want, "seeded image bytes changed: {got:#018x?}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 # dependencies, and CI must never reach for the network. The root
 # `cargo build`/`cargo test` pair is the tier-1 gate; the rest of the
 # script widens it to the full workspace (bench + cli are not in the
-# root package's dependency graph), lints with clippy at -D warnings,
+# root package's dependency graph) and to the standalone perfbench
+# package behind BENCHMARK.json, lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the simd-backend differential matrix forced to
 # the SSE2 tier, runs the doctests, builds the examples, checks that
@@ -42,6 +43,13 @@ cargo test -q --offline
 
 echo "== test (release, workspace) =="
 cargo test -q --release --offline --workspace
+
+echo "== benchmark tests (perfbench, every workload's correctness gate) =="
+# perfbench is its own package (empty [workspace] table), so the
+# workspace run above does not reach it. Its tests drive all four
+# BENCHMARK.json workloads end to end, checking every output they
+# produce against the scalar oracle.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== simd backend differential matrix, forced to the SSE2 tier =="
 # The host probably dispatches AVX2, so the plain test runs above cover

@@ -222,7 +222,9 @@ fn value_algebra() {
         assert_eq!(a.wrapping_sub(b).wrapping_add(b), a, "case {case}");
         assert_eq!(a.not().not(), a, "case {case}");
         assert_eq!(a.wrapping_neg().wrapping_neg(), a, "case {case}");
-        assert_eq!(Value::from_le_bytes(elem, &a.to_le_bytes()), a, "case {case}");
+        let mut le = [0u8; 8];
+        a.write_le_bytes(&mut le);
+        assert_eq!(Value::from_le_bytes(elem, &le), a, "case {case}");
         // min/max bracket both operands.
         let lo = a.min_lane(b).as_i64();
         let hi = a.max_lane(b).as_i64();
